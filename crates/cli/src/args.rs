@@ -7,11 +7,18 @@ use std::collections::BTreeMap;
 pub struct Args {
     command: String,
     options: BTreeMap<String, String>,
+    help: bool,
+}
+
+fn is_help(token: &str) -> bool {
+    token == "--help" || token == "-h"
 }
 
 impl Args {
     /// Parses `argv` (without the program name): first token is the
-    /// subcommand, the rest alternate `--key value`.
+    /// subcommand, the rest alternate `--key value`. `--help` or `-h`, as
+    /// the subcommand or in any option position, takes no value and
+    /// requests the usage text.
     ///
     /// # Errors
     ///
@@ -20,11 +27,16 @@ impl Args {
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut iter = argv.into_iter();
         let command = iter.next().ok_or("missing subcommand")?;
-        if command.starts_with("--") {
+        let mut help = is_help(&command);
+        if command.starts_with("--") && !help {
             return Err(format!("expected a subcommand, got flag {command}"));
         }
         let mut options = BTreeMap::new();
         while let Some(key) = iter.next() {
+            if is_help(&key) {
+                help = true;
+                continue;
+            }
             let Some(stripped) = key.strip_prefix("--") else {
                 return Err(format!("expected --flag, got {key}"));
             };
@@ -33,12 +45,21 @@ impl Args {
                 .ok_or_else(|| format!("flag --{stripped} needs a value"))?;
             options.insert(stripped.to_owned(), value);
         }
-        Ok(Args { command, options })
+        Ok(Args {
+            command,
+            options,
+            help,
+        })
     }
 
     /// The subcommand.
     pub fn command(&self) -> &str {
         &self.command
+    }
+
+    /// Whether `--help` or `-h` was given.
+    pub fn help(&self) -> bool {
+        self.help
     }
 
     /// A string option.
@@ -102,6 +123,25 @@ mod tests {
             .unwrap()
             .get_usize("threads", 0)
             .is_err());
+    }
+
+    #[test]
+    fn help_flags_take_no_value() {
+        for tokens in [
+            &["serve", "--help"][..],
+            &["place", "-h"],
+            &["serve", "--scenario", "churn", "--steps", "8", "--help"],
+            &["place", "--nodes", "4", "-h", "--threads", "16"],
+            &["--help"],
+            &["-h"],
+        ] {
+            let a = parse(tokens).unwrap_or_else(|e| panic!("{tokens:?}: {e}"));
+            assert!(a.help(), "{tokens:?} asks for help");
+        }
+        let a = parse(&["serve", "--scenario", "churn", "--help"]).unwrap();
+        assert_eq!(a.command(), "serve");
+        assert_eq!(a.get("scenario"), Some("churn"), "other flags still parse");
+        assert!(!parse(&["serve", "--scenario", "churn"]).unwrap().help());
     }
 
     #[test]

@@ -45,6 +45,9 @@ use args::Args;
 ///
 /// Returns a user-facing message on bad arguments or engine failures.
 pub fn run(args: &Args) -> Result<String, String> {
+    if args.help() {
+        return Ok(usage());
+    }
     match args.command() {
         "apps" => Ok(list_apps()),
         "track" => track(args),
@@ -58,7 +61,7 @@ pub fn run(args: &Args) -> Result<String, String> {
         "explore" => explore(args),
         "hot" => hot(args),
         "verify" => verify(args),
-        "help" | "--help" => Ok(usage()),
+        "help" => Ok(usage()),
         other => Err(format!("unknown command `{other}`\n\n{}", usage())),
     }
 }
@@ -407,6 +410,10 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
         max_swaps: args.get_usize("max-swaps", base.max_swaps)?,
         ..base
     };
+    if options.window == 0 {
+        // The detector would clamp it to 1 while the report still said 0.
+        return Err("--window must be at least 1 step".into());
+    }
     let nodes = args.get_usize("nodes", 8)?;
     let obs_dir = args.get("obs-dir").map(std::path::PathBuf::from);
     let report = if args.get("app").is_some() {
@@ -1280,6 +1287,25 @@ mod tests {
         let err = cli(&["frobnicate"]).unwrap_err();
         assert!(err.contains("USAGE"));
         assert!(cli(&["help"]).unwrap().contains("USAGE"));
+    }
+
+    #[test]
+    fn help_flag_prints_usage_for_any_subcommand() {
+        for tokens in [
+            &["serve", "--help"][..],
+            &["place", "-h"],
+            &["serve", "--scenario", "hotspot", "--window", "0", "--help"],
+            &["--help"],
+        ] {
+            let out = cli(tokens).unwrap_or_else(|e| panic!("{tokens:?}: {e}"));
+            assert!(out.contains("USAGE"), "{tokens:?}");
+        }
+    }
+
+    #[test]
+    fn serve_rejects_a_zero_window() {
+        let err = cli(&["serve", "--scenario", "hotspot", "--window", "0"]).unwrap_err();
+        assert!(err.contains("--window"), "{err}");
     }
 
     #[test]

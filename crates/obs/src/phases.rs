@@ -163,6 +163,7 @@ impl<C: CorrelationStore> PhaseDetector<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::{Scenario, TrafficConfig, TrafficDriver};
     use acorr_track::SparseCorrelation;
 
     /// A store with neighbor pairs sharing, rotated by `offset`.
@@ -272,6 +273,57 @@ mod tests {
         assert_eq!(dense.shifts(), sparse.shifts());
         assert_eq!(dense.windows_closed(), sparse.windows_closed());
         assert!(!dense.shifts().is_empty(), "phases must actually fire");
+    }
+
+    #[test]
+    fn sparse_and_dense_backends_agree_on_serve_traffic() {
+        // The serve loop's own input: multi-tenant traffic edges, with
+        // tenant-sized sharing blocks, hot tenants and churn, rather than
+        // the regular pattern above. Dense is built pair by pair, sparse
+        // through `from_edges` as the service does. At 8 tenants one
+        // re-matched tenant moves too little mass to cross the default
+        // threshold, so churn runs more sensitive detectors to fire.
+        let (threads, tenants, steps) = (512, 8, 48);
+        for (scenario, threshold_ppm, rearm_ppm) in [
+            (Scenario::Hotspot, DEFAULT_THRESHOLD_PPM, DEFAULT_REARM_PPM),
+            (Scenario::Churn, 100_000, 50_000),
+        ] {
+            let traffic = TrafficDriver::new(
+                TrafficConfig::new(threads, tenants, scenario, 7).with_period(12),
+            );
+            let mut dense = PhaseDetector::<CorrelationMatrix>::with_thresholds(
+                threads,
+                2,
+                threshold_ppm,
+                rearm_ppm,
+                DEFAULT_DECAY,
+            );
+            let mut sparse = PhaseDetector::<SparseCorrelation>::with_thresholds(
+                threads,
+                2,
+                threshold_ppm,
+                rearm_ppm,
+                DEFAULT_DECAY,
+            );
+            for step in 0..steps {
+                let edges = traffic.step_edges(step, 1);
+                let mut round_d = CorrelationMatrix::zeros(threads);
+                for &(a, b, v) in &edges {
+                    CorrelationStore::add(&mut round_d, a as usize, b as usize, v);
+                }
+                let round_s = SparseCorrelation::from_edges(threads, edges);
+                assert_eq!(round_s.to_dense(), round_d, "{scenario} step {step} store");
+                let d = dense.observe(&round_d);
+                let s = sparse.observe(&round_s);
+                assert_eq!(d, s, "{scenario} step {step} diverged");
+            }
+            assert_eq!(dense.flush(), sparse.flush());
+            assert_eq!(dense.shifts(), sparse.shifts(), "{scenario}");
+            assert!(
+                !dense.shifts().is_empty(),
+                "{scenario} at {threshold_ppm} ppm must fire"
+            );
+        }
     }
 
     #[test]

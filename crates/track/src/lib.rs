@@ -16,9 +16,11 @@
 //!   the adaptation mechanism prior systems used and the paper's future-work
 //!   hook for dynamic applications.
 //! * [`store`] / [`sparse`] — the [`CorrelationStore`] abstraction and the
-//!   [`SparseCorrelation`] backend: `O(T + E)` adjacency storage with
-//!   aging-aware compaction, bit-identical to the dense matrix on the same
-//!   data, for the ROADMAP's 10⁵–10⁶-thread scale.
+//!   [`SparseCorrelation`] backend: `O(T + E)` flat CSR storage (dense
+//!   diagonal, row offsets, one sorted entry array) with aging-aware
+//!   compaction, bit-identical to the dense matrix on the same data, for
+//!   the ROADMAP's 10⁵–10⁶-thread scale. Bulk builds and merges stream
+//!   the flat arrays; single-pair `set`/`add` cost `O(T + E)`.
 //! * [`structure`] — machine classification of a map's dominant sharing
 //!   structure (nearest-neighbor / blocked / all-to-all) with a node-size
 //!   advisor, mechanizing §3's by-eye judgement.

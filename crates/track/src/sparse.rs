@@ -3,12 +3,25 @@
 //! The dense [`CorrelationMatrix`] spends `8·T²` bytes whether threads share
 //! or not — 8 TB at a million threads. Real correlation structure is sparse
 //! (the paper's apps share along chains, blocks and a few hot pages), so
-//! [`SparseCorrelation`] stores only the non-zero pairs as symmetric sorted
-//! adjacency lists plus a dense diagonal, giving `O(T + E)` memory and
-//! `O(deg)` neighbor iteration for the multilevel partitioner.
+//! [`SparseCorrelation`] stores only the non-zero pairs, in compressed
+//! sparse row (CSR) form: a dense diagonal, an `offsets` array of length
+//! `T + 1` and one flat `entries` array of `(partner, value)` pairs, where
+//! thread `t`'s row is `entries[offsets[t]..offsets[t + 1]]`. Rows are
+//! sorted by partner, hold no zeros, and store every pair in both
+//! directions. That gives `O(T + E)` memory in three allocations, `O(deg)`
+//! neighbor iteration for the multilevel partitioner, and whole-store
+//! rewrites (build, merge, aging, snapshot) that stream through one pair of
+//! flat arrays instead of allocating a list per thread. Single-pair
+//! [`set`](SparseCorrelation::set)/[`add`](SparseCorrelation::add) shift
+//! the flat arrays and cost `O(T + E)`; they are for tests and small
+//! builders, while bulk data goes through
+//! [`from_edges`](SparseCorrelation::from_edges) and
+//! [`merge`](SparseCorrelation::merge).
 //!
 //! Determinism and equivalence contracts (tested against the dense matrix):
 //!
+//! * the layout is canonical — equal data gives equal arrays, so derived
+//!   `==` is value equality however a store was built;
 //! * iteration is always in ascending `(a, b)` order, so every consumer sum
 //!   and tie-break reproduces the dense code paths bit-for-bit;
 //! * [`SparseCorrelation::delta`] performs the same order-independent `u64`
@@ -24,10 +37,117 @@
 
 use crate::correlation::CorrelationMatrix;
 use crate::store::{AgedStore, CorrelationStore};
+use std::cmp::Ordering;
 use std::fmt;
 
-/// A symmetric sparse correlation store: per-thread sorted adjacency lists
-/// of non-zero partners, plus a dense diagonal (own page counts).
+/// Symmetric rows in CSR form: row `t` is `entries[offsets[t]..offsets[t + 1]]`,
+/// sorted by partner, zero-free, every pair stored on both endpoints.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows<V> {
+    offsets: Vec<usize>,
+    entries: Vec<(u32, V)>,
+}
+
+impl<V: Copy> Rows<V> {
+    fn empty(n: usize) -> Self {
+        Rows {
+            offsets: vec![0; n + 1],
+            entries: Vec::new(),
+        }
+    }
+
+    /// Writes rows `0..n` in order into one pair of flat arrays: `fill(t, out)`
+    /// appends row `t`'s entries, sorted and zero-free.
+    fn build(n: usize, capacity: usize, mut fill: impl FnMut(usize, &mut Vec<(u32, V)>)) -> Self {
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entries = Vec::with_capacity(capacity);
+        offsets.push(0);
+        for t in 0..n {
+            fill(t, &mut entries);
+            offsets.push(entries.len());
+        }
+        Rows { offsets, entries }
+    }
+
+    fn row(&self, t: usize) -> &[(u32, V)] {
+        &self.entries[self.offsets[t]..self.offsets[t + 1]]
+    }
+
+    fn get(&self, t: usize, key: u32) -> Option<V> {
+        let row = self.row(t);
+        row.binary_search_by_key(&key, |e| e.0)
+            .ok()
+            .map(|i| row[i].1)
+    }
+
+    /// Number of unordered pairs (each is stored twice).
+    fn pairs(&self) -> usize {
+        self.entries.len() / 2
+    }
+}
+
+impl Rows<u64> {
+    /// Sets `(t, key)` in row `t` only; zero removes it. Inserting or
+    /// removing shifts the tail of the flat arrays: `O(T + E)`.
+    fn put(&mut self, t: usize, key: u32, v: u64) {
+        let start = self.offsets[t];
+        match self.row(t).binary_search_by_key(&key, |e| e.0) {
+            Ok(i) if v > 0 => self.entries[start + i].1 = v,
+            Ok(i) => {
+                self.entries.remove(start + i);
+                for o in &mut self.offsets[t + 1..] {
+                    *o -= 1;
+                }
+            }
+            Err(i) if v > 0 => {
+                self.entries.insert(start + i, (key, v));
+                for o in &mut self.offsets[t + 1..] {
+                    *o += 1;
+                }
+            }
+            Err(_) => {}
+        }
+    }
+}
+
+/// Walks the union of two partner-sorted rows in ascending partner order,
+/// calling `f(partner, mine, theirs)` with `None` for a side that lacks
+/// the partner — the one sorted-row merge behind `merge`, `delta` and
+/// `SparseAged::observe`.
+fn merge_rows<A: Copy, B: Copy>(
+    mine: &[(u32, A)],
+    theirs: &[(u32, B)],
+    mut f: impl FnMut(u32, Option<A>, Option<B>),
+) {
+    let (mut i, mut j) = (0, 0);
+    while i < mine.len() && j < theirs.len() {
+        let ((a, va), (b, vb)) = (mine[i], theirs[j]);
+        match a.cmp(&b) {
+            Ordering::Equal => {
+                f(a, Some(va), Some(vb));
+                i += 1;
+                j += 1;
+            }
+            Ordering::Less => {
+                f(a, Some(va), None);
+                i += 1;
+            }
+            Ordering::Greater => {
+                f(b, None, Some(vb));
+                j += 1;
+            }
+        }
+    }
+    for &(a, va) in &mine[i..] {
+        f(a, Some(va), None);
+    }
+    for &(b, vb) in &theirs[j..] {
+        f(b, None, Some(vb));
+    }
+}
+
+/// A symmetric sparse correlation store: CSR rows of non-zero partners
+/// sorted by partner, plus a dense diagonal (own page counts).
 ///
 /// ```
 /// use acorr_track::{CorrelationStore, SparseCorrelation};
@@ -40,40 +160,7 @@ use std::fmt;
 pub struct SparseCorrelation {
     n: usize,
     diag: Vec<u64>,
-    /// `adj[t]` lists `(partner, value)` sorted by partner, values > 0,
-    /// mirrored on both endpoints.
-    adj: Vec<Vec<(u32, u64)>>,
-}
-
-fn list_get(list: &[(u32, u64)], key: u32) -> u64 {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => list[pos].1,
-        Err(_) => 0,
-    }
-}
-
-fn list_set(list: &mut Vec<(u32, u64)>, key: u32, v: u64) {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => {
-            if v == 0 {
-                list.remove(pos);
-            } else {
-                list[pos].1 = v;
-            }
-        }
-        Err(pos) => {
-            if v > 0 {
-                list.insert(pos, (key, v));
-            }
-        }
-    }
-}
-
-fn list_add(list: &mut Vec<(u32, u64)>, key: u32, v: u64) {
-    match list.binary_search_by_key(&key, |e| e.0) {
-        Ok(pos) => list[pos].1 += v,
-        Err(pos) => list.insert(pos, (key, v)),
-    }
+    rows: Rows<u64>,
 }
 
 impl SparseCorrelation {
@@ -87,7 +174,7 @@ impl SparseCorrelation {
         SparseCorrelation {
             n,
             diag: vec![0; n],
-            adj: vec![Vec::new(); n],
+            rows: Rows::empty(n),
         }
     }
 
@@ -101,23 +188,27 @@ impl SparseCorrelation {
     /// Panics if an endpoint is out of range.
     pub fn from_edges(n: usize, edges: impl IntoIterator<Item = (u32, u32, u64)>) -> Self {
         let mut s = SparseCorrelation::zeros(n);
-        // Two passes over a flat buffer so every adjacency list is
-        // allocated exactly once at its final (pre-coalesce) size —
-        // incremental `Vec` growth across millions of lists is what
-        // dominated the 10⁶-thread generation profile otherwise.
         let flat: Vec<(u32, u32, u64)> = edges.into_iter().collect();
-        let mut deg = vec![0u32; n];
+        // Counting sort: count each row's entries into `offsets[t + 1]`,
+        // turn the counts into row starts, then scatter with
+        // `offsets[t + 1]` as row `t`'s cursor — it ends on the row's end.
+        let offsets = &mut s.rows.offsets;
         for &(a, b, v) in &flat {
             let (a, b) = (a as usize, b as usize);
             assert!(a < n && b < n, "edge endpoint out of range");
             if v != 0 && a != b {
-                deg[a] += 1;
-                deg[b] += 1;
+                offsets[a + 1] += 1;
+                offsets[b + 1] += 1;
             }
         }
-        for (list, &d) in s.adj.iter_mut().zip(&deg) {
-            list.reserve_exact(d as usize);
+        let mut total = 0;
+        for o in &mut offsets[1..] {
+            let count = *o;
+            *o = total;
+            total += count;
         }
+        let entries = &mut s.rows.entries;
+        entries.resize(total, (0, 0));
         for &(a, b, v) in &flat {
             let (a, b) = (a as usize, b as usize);
             if v == 0 {
@@ -126,47 +217,51 @@ impl SparseCorrelation {
             if a == b {
                 s.diag[a] += v;
             } else {
-                s.adj[a].push((b as u32, v));
-                s.adj[b].push((a as u32, v));
+                entries[offsets[a + 1]] = (b as u32, v);
+                offsets[a + 1] += 1;
+                entries[offsets[b + 1]] = (a as u32, v);
+                offsets[b + 1] += 1;
             }
         }
-        for list in &mut s.adj {
-            list.sort_unstable_by_key(|e| e.0);
-            // Coalesce duplicates in place (sums are order-independent).
-            let mut out = 0;
-            for i in 0..list.len() {
-                if out > 0 && list[out - 1].0 == list[i].0 {
-                    list[out - 1].1 += list[i].1;
+        // Sort each row, then coalesce duplicates (sums commute) while
+        // compacting the rows toward the front of the flat array.
+        let mut write = 0;
+        let mut start = 0;
+        for t in 0..n {
+            let end = offsets[t + 1];
+            entries[start..end].sort_unstable_by_key(|e| e.0);
+            offsets[t] = write;
+            for i in start..end {
+                if write > offsets[t] && entries[write - 1].0 == entries[i].0 {
+                    entries[write - 1].1 += entries[i].1;
                 } else {
-                    list[out] = list[i];
-                    out += 1;
+                    entries[write] = entries[i];
+                    write += 1;
                 }
             }
-            list.truncate(out);
-            list.shrink_to_fit();
+            start = end;
         }
+        offsets[n] = write;
+        entries.truncate(write);
         s
     }
 
     /// Converts a dense matrix (drops zero pairs, keeps the diagonal).
     pub fn from_dense(m: &CorrelationMatrix) -> Self {
         let n = m.num_threads();
-        let mut s = SparseCorrelation::zeros(n);
-        for t in 0..n {
-            s.diag[t] = m.get(t, t);
+        SparseCorrelation {
+            n,
+            diag: (0..n).map(|t| m.get(t, t)).collect(),
+            // Both directions of a pair read its upper-triangle cell.
+            rows: Rows::build(n, 0, |t, out| {
+                for u in (0..n).filter(|&u| u != t) {
+                    let v = m.get(t.min(u), t.max(u));
+                    if v > 0 {
+                        out.push((u as u32, v));
+                    }
+                }
+            }),
         }
-        for (a, b, v) in m.pairs() {
-            if v > 0 {
-                s.adj[a].push((b as u32, v));
-                s.adj[b].push((a as u32, v));
-            }
-        }
-        // `pairs()` ascends lexicographically, so each list needs one sort
-        // only for the lower-partner entries interleaved with upper ones.
-        for list in &mut s.adj {
-            list.sort_unstable_by_key(|e| e.0);
-        }
-        s
     }
 
     /// Expands into a dense matrix (for small-T equivalence checks).
@@ -174,12 +269,8 @@ impl SparseCorrelation {
         let mut m = CorrelationMatrix::zeros(self.n);
         for t in 0..self.n {
             m.set(t, t, self.diag[t]);
-        }
-        for (t, list) in self.adj.iter().enumerate() {
-            for &(u, v) in list {
-                if (u as usize) > t {
-                    m.set(t, u as usize, v);
-                }
+            for &(u, v) in self.rows.row(t) {
+                m.set(t, u as usize, v);
             }
         }
         m
@@ -192,7 +283,7 @@ impl SparseCorrelation {
 
     /// The non-zero partners of `t`, sorted ascending: `(partner, value)`.
     pub fn neighbors(&self, t: usize) -> &[(u32, u64)] {
-        &self.adj[t]
+        self.rows.row(t)
     }
 
     /// The correlation of a thread pair (diagonal: own page count).
@@ -205,11 +296,13 @@ impl SparseCorrelation {
             self.diag[a]
         } else {
             assert!(a < self.n && b < self.n, "index out of range");
-            list_get(&self.adj[a], b as u32)
+            self.rows.get(a, b as u32).unwrap_or(0)
         }
     }
 
-    /// Sets both symmetric entries (zero removes the pair).
+    /// Sets both symmetric entries (zero removes the pair). Adding or
+    /// removing a pair costs `O(T + E)`; bulk data belongs in
+    /// [`from_edges`](SparseCorrelation::from_edges).
     ///
     /// # Panics
     ///
@@ -219,31 +312,27 @@ impl SparseCorrelation {
         if a == b {
             self.diag[a] = v;
         } else {
-            list_set(&mut self.adj[a], b as u32, v);
-            list_set(&mut self.adj[b], a as u32, v);
+            self.rows.put(a, b as u32, v);
+            self.rows.put(b, a as u32, v);
         }
     }
 
-    /// Adds `v` to both symmetric entries.
+    /// Adds `v` to both symmetric entries; `O(T + E)` like
+    /// [`set`](SparseCorrelation::set).
     ///
     /// # Panics
     ///
     /// Panics if an index is out of range.
     pub fn add(&mut self, a: usize, b: usize, v: u64) {
         assert!(a < self.n && b < self.n, "index out of range");
-        if v == 0 {
-            return;
-        }
-        if a == b {
-            self.diag[a] += v;
-        } else {
-            list_add(&mut self.adj[a], b as u32, v);
-            list_add(&mut self.adj[b], a as u32, v);
+        if v > 0 {
+            let cur = self.get(a, b);
+            self.set(a, b, cur + v);
         }
     }
 
     /// Accumulates another store (elementwise sum, diagonal included) by
-    /// merging sorted lists in `O(E₁ + E₂)`.
+    /// merging sorted rows in `O(T + E₁ + E₂)`.
     ///
     /// # Panics
     ///
@@ -253,47 +342,22 @@ impl SparseCorrelation {
         for (d, o) in self.diag.iter_mut().zip(&other.diag) {
             *d += o;
         }
-        for t in 0..self.n {
-            if other.adj[t].is_empty() {
-                continue;
-            }
-            let mine = &self.adj[t];
-            let theirs = &other.adj[t];
-            let mut merged = Vec::with_capacity(mine.len() + theirs.len());
-            let (mut i, mut j) = (0, 0);
-            while i < mine.len() || j < theirs.len() {
-                match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            merged.push((a, va + vb));
-                            i += 1;
-                            j += 1;
-                        } else if a < b {
-                            merged.push((a, va));
-                            i += 1;
-                        } else {
-                            merged.push((b, vb));
-                            j += 1;
-                        }
-                    }
-                    (Some(&e), None) => {
-                        merged.push(e);
-                        i += 1;
-                    }
-                    (None, Some(&e)) => {
-                        merged.push(e);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!(),
-                }
-            }
-            self.adj[t] = merged;
+        // The first round of every detector window lands in an empty store.
+        if self.rows.entries.is_empty() {
+            self.rows.clone_from(&other.rows);
+            return;
         }
+        let capacity = self.rows.entries.len() + other.rows.entries.len();
+        self.rows = Rows::build(self.n, capacity, |t, out| {
+            merge_rows(self.rows.row(t), other.rows.row(t), |u, a, b| {
+                out.push((u, a.unwrap_or(0) + b.unwrap_or(0)));
+            });
+        });
     }
 
     /// Number of non-zero unordered pairs.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.rows.pairs()
     }
 
     /// Normalized L1 divergence against `other` — bit-identical to
@@ -309,39 +373,13 @@ impl SparseCorrelation {
         let mut diff = 0u64;
         let mut mass = 0u64;
         for t in 0..self.n {
-            // Walk the union of both upper-partner lists.
-            let mine = &self.adj[t];
-            let theirs = &other.adj[t];
-            let mut i = mine.partition_point(|e| (e.0 as usize) <= t);
-            let mut j = theirs.partition_point(|e| (e.0 as usize) <= t);
-            while i < mine.len() || j < theirs.len() {
-                let (va, vb) = match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            i += 1;
-                            j += 1;
-                            (va, vb)
-                        } else if a < b {
-                            i += 1;
-                            (va, 0)
-                        } else {
-                            j += 1;
-                            (0, vb)
-                        }
-                    }
-                    (Some(&(_, va)), None) => {
-                        i += 1;
-                        (va, 0)
-                    }
-                    (None, Some(&(_, vb))) => {
-                        j += 1;
-                        (0, vb)
-                    }
-                    (None, None) => unreachable!(),
-                };
-                diff += va.abs_diff(vb);
-                mass += va + vb;
-            }
+            merge_rows(self.rows.row(t), other.rows.row(t), |u, a, b| {
+                if u as usize > t {
+                    let (va, vb) = (a.unwrap_or(0), b.unwrap_or(0));
+                    diff += va.abs_diff(vb);
+                    mass += va + vb;
+                }
+            });
         }
         if mass == 0 {
             0.0
@@ -394,16 +432,19 @@ impl CorrelationStore for SparseCorrelation {
     }
 
     fn for_each_edge(&self, mut f: impl FnMut(usize, usize, u64)) {
-        for (t, list) in self.adj.iter().enumerate() {
-            let from = list.partition_point(|e| (e.0 as usize) <= t);
-            for &(u, v) in &list[from..] {
-                f(t, u as usize, v);
+        let mut start = 0;
+        for (t, &end) in self.rows.offsets[1..].iter().enumerate() {
+            for &(u, v) in &self.rows.entries[start..end] {
+                if u as usize > t {
+                    f(t, u as usize, v);
+                }
             }
+            start = end;
         }
     }
 
     fn for_each_neighbor(&self, t: usize, mut f: impl FnMut(usize, u64)) {
-        for &(u, v) in &self.adj[t] {
+        for &(u, v) in self.rows.row(t) {
             f(u as usize, v);
         }
     }
@@ -414,14 +455,15 @@ impl CorrelationStore for SparseCorrelation {
 }
 
 /// Exponentially aged accumulation over a [`SparseCorrelation`] — the
-/// sparse twin of [`AgedCorrelation`], same arithmetic per present pair.
+/// sparse twin of [`AgedCorrelation`], same arithmetic per present pair,
+/// same CSR layout with `f64` values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseAged {
     n: usize,
     decay: f64,
     rounds: usize,
     diag: Vec<f64>,
-    adj: Vec<Vec<(u32, f64)>>,
+    rows: Rows<f64>,
 }
 
 impl SparseAged {
@@ -441,7 +483,7 @@ impl SparseAged {
             decay,
             rounds: 0,
             diag: vec![0.0; n],
-            adj: vec![Vec::new(); n],
+            rows: Rows::empty(n),
         }
     }
 
@@ -460,16 +502,13 @@ impl SparseAged {
         if a == b {
             self.diag[a]
         } else {
-            match self.adj[a].binary_search_by_key(&(b as u32), |e| e.0) {
-                Ok(pos) => self.adj[a][pos].1,
-                Err(_) => 0.0,
-            }
+            self.rows.get(a, b as u32).unwrap_or(0.0)
         }
     }
 
     /// Number of pairs currently held (memory proxy for compaction tests).
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.rows.pairs()
     }
 
     /// Folds in a new tracking round: per pair present on either side,
@@ -482,44 +521,25 @@ impl SparseAged {
     /// Panics if the round covers a different thread count.
     pub fn observe(&mut self, round: &SparseCorrelation) {
         assert_eq!(round.num_threads(), self.n, "thread counts differ");
-        for t in 0..self.n {
-            self.diag[t] = self.diag[t] * self.decay + round.diag[t] as f64;
-            let mine = std::mem::take(&mut self.adj[t]);
-            let theirs = round.neighbors(t);
-            let mut merged = Vec::with_capacity(mine.len().max(theirs.len()));
-            let (mut i, mut j) = (0, 0);
-            while i < mine.len() || j < theirs.len() {
-                let (key, next) = match (mine.get(i), theirs.get(j)) {
-                    (Some(&(a, va)), Some(&(b, vb))) => {
-                        if a == b {
-                            i += 1;
-                            j += 1;
-                            (a, va * self.decay + vb as f64)
-                        } else if a < b {
-                            i += 1;
-                            (a, va * self.decay)
-                        } else {
-                            j += 1;
-                            // 0.0 * decay + vb == vb exactly.
-                            (b, vb as f64)
-                        }
-                    }
-                    (Some(&(a, va)), None) => {
-                        i += 1;
-                        (a, va * self.decay)
-                    }
-                    (None, Some(&(b, vb))) => {
-                        j += 1;
-                        (b, vb as f64)
-                    }
-                    (None, None) => unreachable!(),
+        let decay = self.decay;
+        for (d, &r) in self.diag.iter_mut().zip(&round.diag) {
+            *d = *d * decay + r as f64;
+        }
+        let capacity = self.rows.entries.len().max(round.rows.entries.len());
+        self.rows = Rows::build(self.n, capacity, |t, out| {
+            merge_rows(self.rows.row(t), round.rows.row(t), |u, a, b| {
+                let next = match (a, b) {
+                    (Some(va), Some(vb)) => va * decay + vb as f64,
+                    (Some(va), None) => va * decay,
+                    // 0.0 * decay + vb == vb exactly.
+                    (None, Some(vb)) => vb as f64,
+                    (None, None) => unreachable!("a merged partner is on one side"),
                 };
                 if next != 0.0 {
-                    merged.push((key, next));
+                    out.push((u, next));
                 }
-            }
-            self.adj[t] = merged;
-        }
+            });
+        });
         self.rounds += 1;
     }
 
@@ -529,37 +549,38 @@ impl SparseAged {
     /// [`observe`](SparseAged::observe) path never needs this: it only
     /// drops exact zeros. Returns the number of pairs dropped.
     pub fn compact(&mut self, min_value: f64) -> usize {
-        let before: usize = self.adj.iter().map(Vec::len).sum();
-        for list in &mut self.adj {
-            list.retain(|&(_, v)| v >= min_value);
-        }
-        let after: usize = self.adj.iter().map(Vec::len).sum();
-        (before - after) / 2
+        let before = self.rows.pairs();
+        self.rows = Rows::build(self.n, self.rows.entries.len(), |t, out| {
+            out.extend(self.rows.row(t).iter().filter(|e| e.1 >= min_value));
+        });
+        before - self.rows.pairs()
     }
 
     /// Rounds the aged values into a [`SparseCorrelation`] usable by the
     /// placement heuristics — same normalization and rounding as
     /// [`AgedCorrelation::snapshot`](crate::AgedCorrelation::snapshot).
     pub fn snapshot(&self) -> SparseCorrelation {
-        let mut s = SparseCorrelation::zeros(self.n);
         let weight: f64 = (0..self.rounds).map(|r| self.decay.powi(r as i32)).sum();
         let scale = if weight > 0.0 { 1.0 / weight } else { 0.0 };
-        for t in 0..self.n {
-            s.diag[t] = (self.diag[t] * scale).round() as u64;
-        }
-        for t in 0..self.n {
-            let from = self.adj[t].partition_point(|e| (e.0 as usize) <= t);
-            for &(u, v) in &self.adj[t][from..] {
-                let sv = (v * scale).round() as u64;
-                if sv > 0 {
-                    // Lower partners of `u` arrive in ascending `t` before
-                    // `u`'s own upper partners: both lists stay sorted.
-                    s.adj[t].push((u, sv));
-                    s.adj[u as usize].push((t as u32, sv));
+        SparseCorrelation {
+            n: self.n,
+            diag: self
+                .diag
+                .iter()
+                .map(|&v| (v * scale).round() as u64)
+                .collect(),
+            // Both directions of a pair hold bit-identical aged values (every
+            // update applies the same operations to both), so rounding row by
+            // row keeps the snapshot symmetric.
+            rows: Rows::build(self.n, self.rows.entries.len(), |t, out| {
+                for &(u, v) in self.rows.row(t) {
+                    let sv = (v * scale).round() as u64;
+                    if sv > 0 {
+                        out.push((u, sv));
+                    }
                 }
-            }
+            }),
         }
-        s
     }
 }
 
@@ -602,40 +623,102 @@ mod tests {
     use crate::delta::correlation_delta;
     use acorr_sim::DetRng;
 
+    /// The store's contents as a shuffled edge list that `from_edges` must
+    /// fold back into the same store: every pair and diagonal cell arrives
+    /// split in two pieces (pairs once in each orientation, pieces may be
+    /// zero), plus `n` zero-weight edges between random threads.
+    fn scrambled_edges(s: &SparseCorrelation, rng: &mut DetRng) -> Vec<(u32, u32, u64)> {
+        let n = s.num_threads();
+        let mut edges = Vec::new();
+        for t in 0..n {
+            let d = s.get(t, t);
+            let part = rng.next_below(d + 1);
+            edges.push((t as u32, t as u32, part));
+            edges.push((t as u32, t as u32, d - part));
+        }
+        CorrelationStore::for_each_edge(s, |a, b, v| {
+            let part = rng.next_below(v + 1);
+            edges.push((a as u32, b as u32, part));
+            edges.push((b as u32, a as u32, v - part));
+        });
+        for _ in 0..n {
+            let a = rng.index(n) as u32;
+            let b = rng.index(n) as u32;
+            edges.push((a, b, 0));
+        }
+        rng.shuffle(&mut edges);
+        edges
+    }
+
+    /// Every builder reaches the same canonical arrays from the same data:
+    /// `from_dense`, `from_edges`, `add`, a two-part `merge`, and merges
+    /// into and from an empty store.
+    fn assert_builders_agree(
+        sparse: &SparseCorrelation,
+        dense: &CorrelationMatrix,
+        rng: &mut DetRng,
+    ) {
+        let n = dense.num_threads();
+        assert_eq!(sparse.to_dense(), *dense, "stores diverged");
+        assert_eq!(SparseCorrelation::from_dense(dense), *sparse, "from_dense");
+        let edges = scrambled_edges(sparse, rng);
+        assert_eq!(
+            SparseCorrelation::from_edges(n, edges.iter().copied()),
+            *sparse,
+            "from_edges"
+        );
+        let mut by_add = SparseCorrelation::zeros(n);
+        for &(a, b, v) in &edges {
+            by_add.add(a as usize, b as usize, v);
+        }
+        assert_eq!(by_add, *sparse, "add");
+        let (head, tail) = edges.split_at(edges.len() / 2);
+        let mut merged = SparseCorrelation::from_edges(n, head.iter().copied());
+        merged.merge(&SparseCorrelation::from_edges(n, tail.iter().copied()));
+        assert_eq!(merged, *sparse, "two-part merge");
+        let mut into_empty = SparseCorrelation::zeros(n);
+        into_empty.merge(sparse);
+        assert_eq!(into_empty, *sparse, "merge into an empty store");
+        let mut from_empty = sparse.clone();
+        from_empty.merge(&SparseCorrelation::zeros(n));
+        assert_eq!(from_empty, *sparse, "merge from an empty store");
+    }
+
     /// Mirrors a random operation stream into dense and sparse stores and
-    /// checks byte-equal results at every step.
-    fn random_equivalence(seed: u64, n: usize, steps: usize) {
+    /// checks byte-equal results at every step. With `interior`, endpoints
+    /// avoid threads `0` and `n - 1`, so the first and last rows stay empty.
+    fn random_equivalence(seed: u64, n: usize, steps: usize, interior: bool) {
         let mut rng = DetRng::new(seed);
+        let pick = |rng: &mut DetRng| {
+            if interior {
+                1 + rng.index(n - 2)
+            } else {
+                rng.index(n)
+            }
+        };
         let mut dense = CorrelationMatrix::zeros(n);
         let mut sparse = SparseCorrelation::zeros(n);
         let mut dense_aged = AgedCorrelation::new(n, 0.5);
         let mut sparse_aged = SparseAged::new(n, 0.5);
-        for _ in 0..steps {
+        for step in 0..steps {
             match rng.next_below(5) {
                 0 => {
-                    let a = rng.next_below(n as u64) as usize;
-                    let b = rng.next_below(n as u64) as usize;
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
                     let v = rng.next_below(16);
                     dense.set(a, b, v);
                     sparse.set(a, b, v);
                 }
                 1 => {
-                    let a = rng.next_below(n as u64) as usize;
-                    let b = rng.next_below(n as u64) as usize;
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
                     let v = rng.next_below(16);
-                    if a != b {
-                        dense.set(a, b, dense.get(a, b) + v);
-                    } else {
-                        dense.set(a, a, dense.get(a, a) + v);
-                    }
+                    dense.set(a, b, dense.get(a, b) + v);
                     sparse.add(a, b, v);
                 }
                 2 => {
                     // Merge in a random round.
                     let mut round_d = CorrelationMatrix::zeros(n);
                     for _ in 0..rng.next_below(8) {
-                        let a = rng.next_below(n as u64) as usize;
-                        let b = rng.next_below(n as u64) as usize;
+                        let (a, b) = (pick(&mut rng), pick(&mut rng));
                         round_d.set(a, b, rng.next_below(9));
                     }
                     let round_s = SparseCorrelation::from_dense(&round_d);
@@ -649,8 +732,7 @@ mod tests {
                 _ => {
                     // Delta against a perturbed copy must agree bit-for-bit.
                     let mut other_d = dense.clone();
-                    let a = rng.next_below(n as u64) as usize;
-                    let b = rng.next_below(n as u64) as usize;
+                    let (a, b) = (rng.index(n), rng.index(n));
                     if a != b {
                         other_d.set(a, b, rng.next_below(32));
                     }
@@ -660,7 +742,17 @@ mod tests {
                     assert_eq!(dd.to_bits(), ds.to_bits(), "delta bits diverged");
                 }
             }
-            assert_eq!(sparse.to_dense(), dense, "stores diverged");
+            // `add` rebuilds cost O(T + E) per pair: sample them at scale.
+            if n <= 16 || step % 20 == 0 || step + 1 == steps {
+                assert_builders_agree(&sparse, &dense, &mut rng);
+            } else {
+                assert_eq!(sparse.to_dense(), dense, "stores diverged");
+            }
+        }
+        if interior {
+            for t in [0, n - 1] {
+                assert!(sparse.neighbors(t).is_empty(), "row {t} stays empty");
+            }
         }
         // Aged accumulators agree bit-for-bit, value by value.
         assert_eq!(dense_aged.rounds(), sparse_aged.rounds());
@@ -678,9 +770,77 @@ mod tests {
 
     #[test]
     fn random_streams_match_dense_byte_for_byte() {
-        for seed in 0..6 {
-            random_equivalence(seed, 12, 120);
+        for n in [1, 2, 13, 257] {
+            for seed in 0..4 {
+                random_equivalence(seed, n, 120, false);
+            }
         }
+        for seed in 0..4 {
+            random_equivalence(seed, 13, 120, true);
+        }
+    }
+
+    #[test]
+    fn compact_then_observe_then_snapshot() {
+        // Round 1's pairs decay for 40 quiet rounds to ~1e-12 and are
+        // compacted away; round 2's pairs are held. After one more round,
+        // every held pair still matches the dense accumulator bit for bit,
+        // and the dropped mass is too small to move any snapshot cell.
+        let n = 13;
+        let mut rng = DetRng::new(11);
+        let mut random_round = |lo: usize| {
+            let mut m = CorrelationMatrix::zeros(n);
+            for _ in 0..12 {
+                let a = lo + rng.index(n - lo - 1);
+                let b = lo + rng.index(n - lo - 1);
+                m.set(a, b, 1 + rng.next_below(9));
+            }
+            m
+        };
+        // Rows 0 and n - 1 stay empty in rounds 2 and 3.
+        let rounds = [random_round(0), random_round(1), random_round(1)];
+        let mut dense = AgedCorrelation::new(n, 0.5);
+        let mut sparse = SparseAged::new(n, 0.5);
+        let mut feed = |m: &CorrelationMatrix| {
+            dense.observe(m);
+            sparse.observe(&SparseCorrelation::from_dense(m));
+        };
+        feed(&rounds[0]);
+        for _ in 0..40 {
+            feed(&CorrelationMatrix::zeros(n));
+        }
+        feed(&rounds[1]);
+        let held = |m: &CorrelationMatrix, a: usize, b: usize| m.get(a, b) > 0;
+        let decayed = rounds[0]
+            .pairs()
+            .filter(|&(a, b, v)| v > 0 && !held(&rounds[1], a, b))
+            .count();
+        assert!(decayed > 0, "round 1 leaves pairs to compact");
+        assert_eq!(sparse.compact(1e-6), decayed);
+        assert_eq!(
+            sparse.edge_count(),
+            rounds[1].pairs().filter(|p| p.2 > 0).count()
+        );
+        dense.observe(&rounds[2]);
+        sparse.observe(&SparseCorrelation::from_dense(&rounds[2]));
+        for a in 0..n {
+            for b in 0..n {
+                if a == b || held(&rounds[1], a, b) || !held(&rounds[0], a, b) {
+                    assert_eq!(
+                        dense.get(a, b).to_bits(),
+                        sparse.get(a, b).to_bits(),
+                        "held ({a},{b})"
+                    );
+                } else {
+                    assert_eq!(
+                        sparse.get(a, b),
+                        rounds[2].get(a, b) as f64,
+                        "dropped ({a},{b})"
+                    );
+                }
+            }
+        }
+        assert_eq!(sparse.snapshot().to_dense(), dense.snapshot());
     }
 
     #[test]
@@ -706,6 +866,30 @@ mod tests {
         let mut edges = Vec::new();
         CorrelationStore::for_each_edge(&fwd, |a, b, v| edges.push((a, b, v)));
         assert_eq!(edges, vec![(0, 1, 5), (2, 3, 1)]);
+    }
+
+    #[test]
+    fn from_edges_drops_zeros_and_folds_self_loops_and_duplicates() {
+        let s = SparseCorrelation::from_edges(
+            6,
+            vec![
+                (3, 1, 2),
+                (2, 2, 3),
+                (1, 3, 0),
+                (4, 0, 0),
+                (1, 3, 4),
+                (2, 2, 1),
+                (3, 1, 1),
+                (5, 5, 0),
+            ],
+        );
+        let mut by_set = SparseCorrelation::zeros(6);
+        by_set.set(1, 3, 7);
+        by_set.set(2, 2, 4);
+        assert_eq!(s, by_set);
+        assert_eq!(s.edge_count(), 1);
+        assert_eq!(s.neighbors(1), &[(3, 7)]);
+        assert!(s.neighbors(0).is_empty() && s.neighbors(5).is_empty());
     }
 
     #[test]
