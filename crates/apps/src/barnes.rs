@@ -18,6 +18,8 @@ use acorr_sim::DetRng;
 
 /// Bytes per body record (mass, position, velocity, acceleration, links).
 const BODY_BYTES: u64 = 120;
+/// Bodies in the paper's input, so at most this many threads.
+pub(crate) const PAPER_BODIES: usize = 8192;
 /// Pages of shared octree cells.
 const TREE_BYTES: u64 = 10 * 4096;
 const LOCKS: usize = 32;
@@ -63,7 +65,7 @@ impl Barnes {
 
     /// The paper's input: 8192 bodies.
     pub fn paper(threads: usize) -> Self {
-        Barnes::new(8192, threads)
+        Barnes::new(PAPER_BODIES, threads)
     }
 
     fn body_addr(&self, body: usize) -> u64 {
@@ -120,7 +122,7 @@ impl Program for Barnes {
 
         // Phase 2: force computation. Read the whole tree, the neighbouring
         // threads' bodies in full, and a deterministic sample of far body
-        // pages (the tree-opening criterion admits a subset of far cells).
+        // pages (the tree-opening rule admits a subset of far cells).
         ops.push(Op::read(self.tree_base, TREE_BYTES));
         for d in 1..=2usize {
             for dir in [-1i64, 1] {

@@ -83,6 +83,28 @@ pub fn by_name(name: &str, threads: usize) -> Option<Box<dyn Program>> {
     })
 }
 
+/// The most threads the paper-size application `name` runs: one per body
+/// (Barnes), grid row (SOR), molecule (Water) or cell (Spatial), and no
+/// bound for the rest. `None` for unknown names. [`by_name`] panics
+/// outside `1..=max_threads(name)`.
+///
+/// ```
+/// use acorr_apps::max_threads;
+/// assert_eq!(max_threads("Water"), Some(512));
+/// assert_eq!(max_threads("FFT6"), Some(usize::MAX));
+/// assert_eq!(max_threads("NotAnApp"), None);
+/// ```
+pub fn max_threads(name: &str) -> Option<usize> {
+    Some(match name {
+        "Barnes" => barnes::PAPER_BODIES,
+        "SOR" => sor::PAPER_ROWS,
+        "Water" => water::PAPER_MOLECULES,
+        "Spatial" => spatial::CELLS,
+        _ if SUITE_NAMES.contains(&name) => usize::MAX,
+        _ => return None,
+    })
+}
+
 /// The full Table 1 suite at paper input sizes.
 pub fn suite(threads: usize) -> Vec<Box<dyn Program>> {
     SUITE_NAMES
@@ -125,6 +147,16 @@ mod tests {
                 validate_iteration(&app, 0)
                     .unwrap_or_else(|e| panic!("{} @ {threads}: {e}", app.name()));
                 assert_eq!(app.num_threads(), threads);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_apps_build_at_their_max_threads() {
+        for name in SUITE_NAMES {
+            let max = max_threads(name).expect("suite name");
+            if max < usize::MAX {
+                assert_eq!(by_name(name, max).expect("known").num_threads(), max);
             }
         }
     }

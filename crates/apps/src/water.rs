@@ -16,6 +16,8 @@ use acorr_mem::SharedLayout;
 /// Bytes per molecule record (positions, velocities, forces, energies for a
 /// 3-site model) — sized so 512 molecules occupy the paper's 44 pages.
 const MOL_BYTES: u64 = 352;
+/// Molecules in the paper's input, so at most this many threads.
+pub(crate) const PAPER_MOLECULES: usize = 512;
 /// Calibrated toward the paper's ≈1.07 s 64-thread iteration.
 const FORCE_NS_PER_PAIR: u64 = 62_000;
 const LOCKS: usize = 8;
@@ -53,7 +55,7 @@ impl Water {
 
     /// The paper's input: 512 molecules.
     pub fn paper(threads: usize) -> Self {
-        Water::new(512, threads)
+        Water::new(PAPER_MOLECULES, threads)
     }
 
     fn mol_addr(&self, mol: usize) -> u64 {

@@ -9,8 +9,7 @@
 //!    refined mappings are bit-identical before reporting speedup.
 //!
 //! Writes `results/perf_pr1.csv` with one row per measurement. Runs with
-//! plain `cargo run --release -p acorr-bench --bin perf`; criterion stays
-//! behind its feature gate.
+//! plain `cargo run --release -p acorr-bench --bin perf`.
 //!
 //! Usage: `perf [--threads T] [--samples N] [--reps R]` (defaults: all
 //! available workers, 24 samples, 3 measured reps).

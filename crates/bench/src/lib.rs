@@ -14,8 +14,7 @@
 //! | `figure2` | Passive information-gathering per migration round |
 //! | `figure3` | 32-thread FFT free-zone maps on 4/8 nodes + randomized |
 //!
-//! Artifacts (CSV, PGM, TXT) land in `./results/`. Criterion micro-benches
-//! for the engine, tracking, analysis, and placement live in `benches/`.
+//! Artifacts (CSV, PGM, TXT) land in `./results/`.
 
 use acorr::dsm::DsmError;
 use std::fmt::Write as _;
@@ -23,9 +22,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Wall-clock measurement of one call to `f`, returning its result and the
-/// elapsed time. The criterion micro-benches stay behind the `criterion`
-/// feature; this plain harness is what the offline `perf` binary and the
-/// PR-gating speedup checks use.
+/// elapsed time. The `perf` binaries and the speedup gates time with it.
 pub fn time_fn<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let result = f();

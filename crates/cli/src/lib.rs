@@ -195,17 +195,34 @@ fn parse_faults(spec: &str) -> Result<FaultPlan, String> {
 fn app_factory(args: &Args) -> Result<(String, usize), String> {
     let name = args.get("app").ok_or("--app is required")?.to_owned();
     let threads = args.get_usize("threads", 64)?;
-    if name != "Drift" && apps::by_name(&name, threads).is_none() {
-        return Err(format!("unknown application `{name}` (try `acorr apps`)"));
-    }
+    check_app(&name, threads)?;
     Ok((name, threads))
+}
+
+/// Checks an application name and thread count before [`build`], whose
+/// constructors panic on more threads than the input has bodies, rows,
+/// molecules or cells. Zero threads fails `Workbench::new`, which every
+/// caller runs first.
+fn check_app(name: &str, threads: usize) -> Result<(), String> {
+    let max = if name == "Drift" {
+        usize::MAX
+    } else {
+        apps::max_threads(name)
+            .ok_or_else(|| format!("unknown application `{name}` (try `acorr apps`)"))?
+    };
+    if threads > max {
+        return Err(format!(
+            "{name} runs at most {max} threads, got --threads {threads}"
+        ));
+    }
+    Ok(())
 }
 
 fn build(name: &str, threads: usize) -> Box<dyn acorr::dsm::Program> {
     if name == "Drift" {
         Box::new(apps::Drift::new(32 * threads, threads, 8))
     } else {
-        apps::by_name(name, threads).expect("validated earlier")
+        apps::by_name(name, threads).expect("checked by check_app")
     }
 }
 
@@ -309,6 +326,12 @@ fn parse_scale(spec: &str) -> Result<(usize, usize), String> {
     let nodes = n
         .parse::<usize>()
         .map_err(|_| format!("--scale: bad node count `{n}`"))?;
+    if !(2..=u32::MAX as usize).contains(&threads) {
+        return Err(format!(
+            "--scale: affinity edges need 2 to {} threads, got {threads}",
+            u32::MAX
+        ));
+    }
     Ok((threads, nodes))
 }
 
@@ -432,6 +455,11 @@ fn serve_cmd(args: &Args) -> Result<String, String> {
             .map_err(|e| e.to_string())?
     } else {
         let threads = args.get_usize("threads", 64)?;
+        if threads < 2 {
+            return Err(format!(
+                "traffic needs at least two threads, got --threads {threads}"
+            ));
+        }
         let mut bench = Workbench::new(nodes, threads)
             .map_err(|e| e.to_string())?
             .with_threads(jobs_of(args)?);
@@ -516,9 +544,7 @@ fn replay_manifest(
     let seed: u64 = param("seed")?
         .parse()
         .map_err(|e| format!("{path}: bad \"seed\": {e}"))?;
-    if name != "Drift" && apps::by_name(&name, threads).is_none() {
-        return Err(format!("{path}: unknown application `{name}`"));
-    }
+    check_app(&name, threads).map_err(|e| format!("{path}: {e}"))?;
     let bench = Workbench::new(nodes, threads)
         .map_err(|e| e.to_string())?
         .with_seed(seed)

@@ -1,12 +1,13 @@
 //! Integration tests for deterministic fault injection and the coherence
 //! conformance oracle, exercised through small hand-built programs.
 //!
-//! These run under default features (no proptest needed): fault plans are
-//! themselves deterministic, so fixed seeds give full reproducibility.
+//! Fault plans are themselves deterministic, so fixed seeds give full
+//! reproducibility. The pinned-seed tests below are joined by seeded
+//! properties over arbitrary in-range fault probabilities and seeds.
 
 use acorr_dsm::{Dsm, DsmConfig, IterStats, LockId, Op, Program, WriteMode};
 use acorr_mem::PAGE_SIZE;
-use acorr_sim::{ClusterConfig, FaultPlan, Mapping, SimDuration};
+use acorr_sim::{check, ClusterConfig, FaultPlan, Mapping, SimDuration};
 
 /// A program built from explicit per-thread, per-iteration scripts.
 struct Scripted {
@@ -468,4 +469,84 @@ fn crash_runs_are_deterministic_per_seed() {
         a.0.crashes > 0,
         "crash_prob 0.5 over 5 iterations must fire"
     );
+}
+
+/// Runs [`barrier_program`] on 2 nodes under `plan` with the oracle on,
+/// asserting it stays clean.
+fn run_barrier_program(plan: FaultPlan, single_writer: bool, iterations: usize) -> IterStats {
+    let cluster = ClusterConfig::new(2, 4).unwrap();
+    let mut config = DsmConfig::new(cluster).with_faults(plan);
+    if single_writer {
+        config = config.with_write_mode(WriteMode::SingleWriter {
+            delta: SimDuration::from_micros(100),
+        });
+    }
+    let mut dsm = dsm_with(config, barrier_program());
+    dsm.enable_oracle();
+    let stats = dsm.run_iterations(iterations).unwrap();
+    assert_eq!(
+        dsm.oracle_report().unwrap().violations,
+        0,
+        "oracle must stay clean"
+    );
+    stats
+}
+
+/// Partition ∘ heal delivers the same message multiset as a fault-free
+/// run: identical misses and first-send bytes for any partition
+/// probability, window and seed.
+#[test]
+fn partition_heal_is_delivery_identity() {
+    let clean = run_barrier_program(FaultPlan::none(), false, 5);
+    check("partition_heal_is_delivery_identity", 24, |rng| {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            partition_prob: 0.01 + rng.next_f64() * 0.99,
+            partition_window: SimDuration::from_micros(rng.range(100, 5_000)),
+            ..FaultPlan::none()
+        };
+        let faulted = run_barrier_program(plan, false, 5);
+        assert_eq!(faulted.remote_misses, clean.remote_misses);
+        assert_eq!(faulted.net.total_bytes(), clean.net.total_bytes());
+        assert_eq!(faulted.crashes, 0);
+    });
+}
+
+/// Duplication and corruption never inflate the paper counters; their
+/// traffic is confined to the retransmission ledger.
+#[test]
+fn duplication_never_inflates_paper_counters() {
+    let clean = run_barrier_program(FaultPlan::none(), false, 4);
+    check("duplication_never_inflates_paper_counters", 24, |rng| {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            dup_prob: rng.next_f64(),
+            corrupt_prob: rng.next_f64() * 0.5,
+            ..FaultPlan::none()
+        };
+        let faulted = run_barrier_program(plan, false, 4);
+        assert_eq!(faulted.remote_misses, clean.remote_misses);
+        assert_eq!(faulted.net.total_bytes(), clean.net.total_bytes());
+        assert!(
+            faulted.net.total_retrans_messages() >= faulted.dup_messages + faulted.corrupt_detected
+        );
+    });
+}
+
+/// Crash + recovery reaches an oracle-clean state under both write
+/// protocols, for any crash probability and seed; and each such run is
+/// deterministic (same seed, same bytes).
+#[test]
+fn crash_recovery_reaches_oracle_clean_state() {
+    check("crash_recovery_reaches_oracle_clean_state", 24, |rng| {
+        let plan = FaultPlan {
+            seed: rng.next_u64(),
+            crash_prob: 0.05 + rng.next_f64() * 0.95,
+            ..FaultPlan::none()
+        };
+        let single_writer = rng.chance(0.5);
+        let a = run_barrier_program(plan.clone(), single_writer, 5);
+        let b = run_barrier_program(plan, single_writer, 5);
+        assert_eq!(a, b);
+    });
 }

@@ -131,6 +131,10 @@ impl AccessMatrix {
     }
 }
 
+/// The largest dense shape [`AccessMatrix::from_csv`] builds: 2^28 bits
+/// is 32 MiB of bitmaps, far above any tracked run's.
+const MAX_CSV_BITS: usize = 1 << 28;
+
 impl AccessMatrix {
     /// Serializes the matrix as sparse CSV: one `thread,page` line per
     /// observation, preceded by a `threads,pages` header line.
@@ -158,6 +162,13 @@ impl AccessMatrix {
             .ok_or_else(|| format!("bad header {header}"))?;
         let threads: usize = t.trim().parse().map_err(|e| format!("threads: {e}"))?;
         let pages: usize = p.trim().parse().map_err(|e| format!("pages: {e}"))?;
+        // The CSV is sparse but the matrix is dense, so the header alone
+        // sizes it: bound it (each thread costs at least a bitmap header).
+        if threads.saturating_mul(pages.max(256)) > MAX_CSV_BITS {
+            return Err(format!(
+                "header {threads},{pages} exceeds {MAX_CSV_BITS} bitmap bits"
+            ));
+        }
         let mut m = AccessMatrix::new(threads, pages);
         for (i, line) in lines.enumerate() {
             let (t, p) = line
@@ -286,6 +297,10 @@ mod tests {
         assert!(AccessMatrix::from_csv("2,4\n1;2\n").is_err(), "bad row");
         assert!(AccessMatrix::from_csv("2,4\n5,0\n").is_err(), "thread oob");
         assert!(AccessMatrix::from_csv("2,4\n0,9\n").is_err(), "page oob");
+        assert!(
+            AccessMatrix::from_csv("99999999,99999999\n").is_err(),
+            "unbounded header"
+        );
     }
 
     #[test]

@@ -187,6 +187,8 @@ impl FromIterator<usize> for FixedBitset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use acorr_sim::{check, DetRng};
+    use std::collections::{BTreeSet, HashSet};
 
     #[test]
     fn insert_contains_remove() {
@@ -290,57 +292,70 @@ mod tests {
     fn mismatched_lengths_panic() {
         FixedBitset::new(8).intersection_count(&FixedBitset::new(9));
     }
-}
 
-#[cfg(all(test, feature = "proptest"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// Intersection count never exceeds either operand's count and is
-        /// symmetric.
-        #[test]
-        fn intersection_bounded_and_symmetric(
-            xs in proptest::collection::hash_set(0usize..512, 0..64),
-            ys in proptest::collection::hash_set(0usize..512, 0..64),
-        ) {
-            let mut a = FixedBitset::new(512);
-            let mut b = FixedBitset::new(512);
-            for &x in &xs { a.insert(x); }
-            for &y in &ys { b.insert(y); }
-            let i = a.intersection_count(&b);
-            prop_assert!(i <= a.count() && i <= b.count());
-            prop_assert_eq!(i, b.intersection_count(&a));
-            prop_assert_eq!(i, xs.intersection(&ys).count());
+    /// `0..64` distinct members below 512.
+    fn members(rng: &mut DetRng) -> HashSet<usize> {
+        let len = rng.index(64);
+        let mut set = HashSet::new();
+        while set.len() < len {
+            set.insert(rng.index(512));
         }
+        set
+    }
 
-        /// Union is the LUB: both operands are subsets and its count equals
-        /// the set-union cardinality.
-        #[test]
-        fn union_is_least_upper_bound(
-            xs in proptest::collection::hash_set(0usize..512, 0..64),
-            ys in proptest::collection::hash_set(0usize..512, 0..64),
-        ) {
-            let mut a = FixedBitset::new(512);
-            let mut b = FixedBitset::new(512);
-            for &x in &xs { a.insert(x); }
-            for &y in &ys { b.insert(y); }
+    fn bitset_of(xs: &HashSet<usize>) -> FixedBitset {
+        let mut s = FixedBitset::new(512);
+        for &x in xs {
+            s.insert(x);
+        }
+        s
+    }
+
+    /// Intersection count never exceeds either operand's count and is
+    /// symmetric.
+    #[test]
+    fn intersection_bounded_and_symmetric() {
+        check("intersection_bounded_and_symmetric", 256, |rng| {
+            let (xs, ys) = (members(rng), members(rng));
+            let (a, b) = (bitset_of(&xs), bitset_of(&ys));
+            let i = a.intersection_count(&b);
+            assert!(i <= a.count() && i <= b.count());
+            assert_eq!(i, b.intersection_count(&a));
+            assert_eq!(i, xs.intersection(&ys).count());
+        });
+    }
+
+    /// Union is the LUB: both operands are subsets and its count equals
+    /// the set-union cardinality.
+    #[test]
+    fn union_is_least_upper_bound() {
+        check("union_is_least_upper_bound", 256, |rng| {
+            let (xs, ys) = (members(rng), members(rng));
+            let (a, b) = (bitset_of(&xs), bitset_of(&ys));
             let mut u = a.clone();
             u.union_with(&b);
-            prop_assert!(a.is_subset(&u));
-            prop_assert!(b.is_subset(&u));
-            prop_assert_eq!(u.count(), xs.union(&ys).count());
-        }
+            assert!(a.is_subset(&u));
+            assert!(b.is_subset(&u));
+            assert_eq!(u.count(), xs.union(&ys).count());
+        });
+    }
 
-        /// iter_ones round-trips the inserted set, in ascending order.
-        #[test]
-        fn iter_ones_round_trips(xs in proptest::collection::btree_set(0usize..300, 0..50)) {
+    /// iter_ones round-trips the inserted set, in ascending order.
+    #[test]
+    fn iter_ones_round_trips() {
+        check("iter_ones_round_trips", 256, |rng| {
+            let len = rng.index(50);
+            let mut xs = BTreeSet::new();
+            while xs.len() < len {
+                xs.insert(rng.index(300));
+            }
             let mut s = FixedBitset::new(300);
-            for &x in &xs { s.insert(x); }
+            for &x in &xs {
+                s.insert(x);
+            }
             let got: Vec<usize> = s.iter_ones().collect();
             let want: Vec<usize> = xs.into_iter().collect();
-            prop_assert_eq!(got, want);
-        }
+            assert_eq!(got, want);
+        });
     }
 }

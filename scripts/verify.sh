@@ -1,8 +1,6 @@
 #!/usr/bin/env sh
 # The full PR gate, identical to .github/workflows/ci.yml — run before
-# pushing. Uses only the default feature set (zero external dependencies,
-# works offline); proptest/criterion extras need a networked machine and
-# the commented dev-dependencies restored (see the workspace Cargo.toml).
+# pushing. Needs no external dependencies, so it works offline.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -83,14 +81,5 @@ rm -rf "$serve_dir"
 
 echo "==> perf regression gate (scripts/check_perf.sh)"
 sh scripts/check_perf.sh
-
-# Opt-in property tests: needs a networked machine and the proptest
-# dev-dependency restored first (scripts/enable_proptest.sh).
-if [ "${ACORR_PROPTEST:-0}" = "1" ]; then
-    for crate in acorr-sim acorr-mem acorr-dsm acorr-place acorr-track acorr-obs; do
-        echo "==> cargo test -p $crate --features proptest -q (property tests)"
-        cargo test -p "$crate" --features proptest -q
-    done
-fi
 
 echo "==> OK"
