@@ -22,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Wall-clock measurement of one call to `f`, returning its result and the
-/// elapsed time. The `perf` binaries and the speedup gates time with it.
+/// elapsed time. The `perf` binary and its speedup gates time with it.
 pub fn time_fn<R>(f: impl FnOnce() -> R) -> (R, Duration) {
     let start = Instant::now();
     let result = f();

@@ -34,7 +34,7 @@ use acorr_sim::{ClusterConfig, Mapping, NodeId};
 use acorr_track::CorrelationStore;
 
 /// Tuning knobs for [`multilevel_place_with`]. The defaults reproduce the
-/// pinned digests in `results/BENCH_pr9.json`; change them and the output
+/// pinned digests in `results/BENCH.json`; change them and the output
 /// (deterministically) changes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultilevelConfig {
@@ -517,8 +517,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
     let target = (config.coarse_per_node * nodes)
         .max(config.coarse_floor)
         .max(nodes);
-    let tracing = std::env::var_os("ACORR_ML_TRACE").is_some();
-    let t0 = std::time::Instant::now();
 
     // Coarsen. Intermediate graphs above `refine_size_cap` vertices are
     // dropped as soon as their coarser level exists: refining there costs
@@ -526,14 +524,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
     // it buys, and the uncoarsening projection only needs the cmaps. The
     // finest graph (index 0) and every kept level stay for refinement.
     let mut graphs: Vec<Option<Graph>> = vec![Some(Graph::from_store(corr))];
-    trace(
-        tracing,
-        &t0,
-        &format!(
-            "from_store: {n} vertices, {} entries",
-            graphs[0].as_ref().expect("kept").nbr.len()
-        ),
-    );
     let mut cmaps: Vec<Vec<u32>> = Vec::new();
     loop {
         let cur = graphs.last().expect("one level").as_ref().expect("kept");
@@ -542,17 +532,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         }
         match coarsen(cur, max_vwgt) {
             Some((coarse, cmap)) => {
-                trace(
-                    tracing,
-                    &t0,
-                    &format!(
-                        "coarsen level {}: {} -> {} vertices, {} entries",
-                        cmaps.len(),
-                        cmap.len(),
-                        coarse.len(),
-                        coarse.nbr.len()
-                    ),
-                );
                 cmaps.push(cmap);
                 let idx = graphs.len() - 1;
                 if idx > 0 && graphs[idx].as_ref().expect("kept").len() > config.refine_size_cap {
@@ -582,7 +561,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         config.refine_passes,
         config.swap_degree_cap,
     );
-    trace(tracing, &t0, "coarsest level partitioned and refined");
 
     // Uncoarsen: project through each map, refining at every kept level.
     for level in (0..cmaps.len()).rev() {
@@ -595,7 +573,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         if let Some(g) = &graphs[level] {
             let mut loads = node_loads(g, &part, nodes);
             refine_moves(g, &mut part, &mut loads, &quotas, config.refine_passes);
-            trace(tracing, &t0, &format!("level {level}: moves done"));
             // At the finest level a single first-improvement sweep captures
             // nearly all the swap gain; further sweeps cost seconds at 10⁶
             // threads for sub-percent cut movement (and small instances
@@ -607,16 +584,8 @@ pub fn multilevel_place_with<C: CorrelationStore>(
             };
             if level == 0 {
                 rebalance(g, &mut part, &mut loads, &quotas);
-                trace(tracing, &t0, "level 0: rebalanced to exact quotas");
             }
             refine_swaps(g, &mut part, nodes, swap_passes, config.swap_degree_cap);
-            trace(tracing, &t0, &format!("level {level}: swaps done"));
-        } else {
-            trace(
-                tracing,
-                &t0,
-                &format!("level {level}: projected (no refine)"),
-            );
         }
     }
     if cmaps.is_empty() {
@@ -642,18 +611,6 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         refine_kl(corr, mapping)
     } else {
         mapping
-    }
-}
-
-/// Stage tracing for tuning: set `ACORR_ML_TRACE=1` to print per-stage
-/// wall times and level shapes on stderr. Pure observation — never affects
-/// the computed mapping.
-fn trace(enabled: bool, start: &std::time::Instant, msg: &str) {
-    if enabled {
-        eprintln!(
-            "[multilevel +{:7.0} ms] {msg}",
-            start.elapsed().as_secs_f64() * 1e3
-        );
     }
 }
 

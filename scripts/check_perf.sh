@@ -1,49 +1,37 @@
 #!/usr/bin/env sh
-# Perf regression gate: re-measures the engine hot paths and fails when any
-# bin's hot-loop speedup drops below the 5x floor or regresses more than
-# 10% relative to the committed baseline (results/BENCH_pr6.json), then
-# re-runs the production-scale placement trajectory (perf9) whose gate pins
-# the scale-point mapping digests and cut costs byte-for-byte against
-# results/BENCH_pr9.json and holds the multilevel-vs-min_cost speedup floor.
+# Perf regression gate: runs the `perf` bench bin against the committed
+# baseline results/BENCH.json. It fails when a hot-loop speedup drops below
+# the 5x floor or regresses more than 10% relative to the baseline, when
+# the multilevel-vs-min_cost head-to-head drops below 10x, regresses more
+# than 25% or exceeds the 1.5x cut ceiling, or when any scale-point mapping
+# digest or cut differs from the baseline.
 #
 # The timing comparisons are against *speedup ratios*, not absolute wall
 # time, so the gates are machine-independent: reference and optimized paths
-# are timed on the same host in the same process. The perf9 digest/cut
-# comparison is exact — those numbers do not depend on the machine at all.
+# are timed on the same host in the same process. The digest/cut comparison
+# is exact — those numbers do not depend on the machine at all.
 #
-# Running a bench bin rewrites its results/BENCH_*.json with the fresh
-# numbers, so each committed baseline is copied aside first and the gate
-# compares against the copy.
+# In gate mode `perf` prints the fresh JSON to stdout and writes nothing
+# under results/, so the committed baseline is never rewritten.
 set -eu
 
 cd "$(dirname "$0")/.."
 
-for pr in 6 9; do
-    baseline="results/BENCH_pr$pr.json"
-    if [ ! -f "$baseline" ]; then
-        echo "error: no committed baseline at $baseline" >&2
-        echo "hint: run 'cargo run --release -p acorr-bench --bin perf$pr' and commit the artifact" >&2
-        exit 2
-    fi
-done
+baseline="results/BENCH.json"
+if [ ! -f "$baseline" ]; then
+    echo "error: no committed baseline at $baseline" >&2
+    echo "hint: run 'cargo run --release -p acorr-bench --bin perf' and commit the artifact" >&2
+    exit 2
+fi
 
-tmp="$(mktemp)"
-tmp9="$(mktemp)"
-trap 'rm -f "$tmp" "$tmp9"' EXIT
-cp results/BENCH_pr6.json "$tmp"
-cp results/BENCH_pr9.json "$tmp9"
-
-echo "==> perf6 --baseline results/BENCH_pr6.json (copied aside)"
-cargo run --release -p acorr-bench --bin perf6 -- --baseline "$tmp"
-
-echo "==> perf9 --baseline results/BENCH_pr9.json (copied aside)"
-cargo run --release -p acorr-bench --bin perf9 -- --baseline "$tmp9"
+echo "==> perf --baseline $baseline"
+cargo run --release -p acorr-bench --bin perf -- --baseline "$baseline"
 
 # Companion-manifest audit: every regenerated artifact gets a
 # results/manifests/<name>.json stamp (see acorr_bench::write_artifact),
-# but artifacts committed before the stamping convention — e.g. the PR-1
-# perf trajectory results/perf_pr1.csv — have none. Tolerate those and say
-# so, rather than silently skipping them in digest comparisons.
+# but artifacts committed before the stamping convention have none.
+# Tolerate those and say so, rather than silently skipping them in digest
+# comparisons.
 echo "==> companion-manifest audit (results/)"
 legacy=0
 for artifact in results/*; do

@@ -55,7 +55,7 @@ echo "==> scale smoke (100k-thread multilevel placement, pinned digest)"
 # seed) — machine-independent — so any behaviour drift in the sparse
 # store, the synthetic generator or the multilevel partitioner trips this
 # grep. The 120 s ceiling is ~200x the reference wall time: it only
-# catches catastrophic slowdowns, the perf9 gate tracks the real numbers.
+# catches catastrophic slowdowns, the `perf` gate tracks the real numbers.
 scale_out="$(timeout 120 ./target/release/acorr place --scale 100000x256)"
 echo "$scale_out" | grep -q "digest: fnv1a:e1285098d3c4cfcd" || {
     echo "error: 100000x256 placement digest drifted from the pinned value:" >&2
