@@ -36,6 +36,7 @@ fn out_of_range_sizes_exit_1_with_an_error() {
         "serve --threads 0",
         "place --scale 1x1",
         "place --scale 0x4",
+        "place --scale 140000x70000",
     ]
     .map(String::from)
     .to_vec();

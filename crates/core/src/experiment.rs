@@ -1324,6 +1324,16 @@ mod tests {
     }
 
     #[test]
+    fn scale_placement_digest_is_pinned_at_10k() {
+        // The 10000x64 point of `results/BENCH.json`: any change to the
+        // multilevel pipeline's mapping shows up here, not only in the
+        // release-mode perf gate.
+        let run = scale_placement_study(10_000, 64, 8, 42, 1).unwrap();
+        assert_eq!(run.digest, "fnv1a:c8b9583da5ea3075");
+        assert_eq!(run.cut, 525_364);
+    }
+
+    #[test]
     fn scale_placement_study_rejects_bad_topology() {
         assert!(scale_placement_study(4, 8, 4, 1, 1).is_err());
     }

@@ -18,6 +18,18 @@
 //!    generalized to any [`CorrelationStore`], so the multilevel path and
 //!    the paper's direct path converge on the same machinery.
 //!
+//! Refinement skips work that provably cannot gain. Each refined level
+//! keeps every vertex's slack — its external edge weight (to neighbors on
+//! other nodes) minus its internal weight (to neighbors on its own node) —
+//! exact under every move and swap. No other node connects to `v` by more
+//! than the external weight, so a move of `v` gains at most its slack:
+//! vertices with no positive slack are skipped without gathering their
+//! per-node connectivity, and a swap pair is skipped while both sides'
+//! slack minus twice their shared edge cannot be positive. The bounds only
+//! skip work whose outcome is already decided, so visit order, tie-breaks
+//! and results are those of the unpruned loops (kept in the tests as
+//! `*_reference`).
+//!
 //! Every stage visits vertices and neighbors in ascending order with
 //! explicit tie-breaks and contains no randomness or parallelism, so the
 //! result is a pure function of the input store — bit-identical across
@@ -344,18 +356,115 @@ fn initial_partition(g: &Graph, quotas: &[u64]) -> Vec<u16> {
     part
 }
 
+/// Per-level gain bounds shared by moves, rebalance and swaps: `slack[v]`
+/// is `v`'s external edge weight (to neighbors on other nodes) minus its
+/// internal weight (to neighbors on its own node). Whatever other node `v`
+/// looks at, its connectivity there is at most the external weight, so
+/// moving `v` gains at most `slack[v]`, and refinement skips the per-node
+/// gather exactly when that bound rules out a gain. Built in one `O(E)`
+/// pass per level and kept exact by [`Slack::relocate`] in `O(deg)` per
+/// accepted move.
+struct Slack {
+    slack: Vec<i64>,
+}
+
+impl Slack {
+    fn new(g: &Graph, part: &[u16]) -> Self {
+        let mut slack = vec![0i64; g.len()];
+        for v in 0..g.len() {
+            for (u, w) in g.neighbors(v) {
+                if u == v {
+                    continue;
+                }
+                if part[u] == part[v] {
+                    slack[v] -= w as i64;
+                } else {
+                    slack[v] += w as i64;
+                }
+            }
+        }
+        Slack { slack }
+    }
+
+    /// Moves `v` to node `to`, keeping the slack of `v` and its neighbors
+    /// exact.
+    fn relocate(&mut self, g: &Graph, part: &mut [u16], v: usize, to: u16) {
+        let from = part[v];
+        let mut slack_v = 0i64;
+        for (u, w) in g.neighbors(v) {
+            if u == v {
+                continue;
+            }
+            let w = w as i64;
+            if part[u] == to {
+                self.slack[u] -= 2 * w;
+                slack_v -= w;
+            } else {
+                if part[u] == from {
+                    self.slack[u] += 2 * w;
+                }
+                slack_v += w;
+            }
+        }
+        self.slack[v] = slack_v;
+        part[v] = to;
+    }
+}
+
+/// `v`'s total edge weight to other vertices.
+fn weighted_degree(g: &Graph, v: usize) -> i64 {
+    g.neighbors(v)
+        .filter(|&(u, _)| u != v)
+        .map(|(_, w)| w as i64)
+        .sum()
+}
+
+/// `v`'s connectivity to nodes `a` and `b`: two accumulators instead of a
+/// per-node gather.
+fn conn_pair(g: &Graph, part: &[u16], v: usize, a: u16, b: u16) -> (i64, i64) {
+    let (mut to_a, mut to_b) = (0i64, 0i64);
+    for (u, w) in g.neighbors(v) {
+        if u == v {
+            continue;
+        }
+        if part[u] == a {
+            to_a += w as i64;
+        } else if part[u] == b {
+            to_b += w as i64;
+        }
+    }
+    (to_a, to_b)
+}
+
 /// Affinity-driven single-vertex moves: each vertex may move to the
 /// neighbor node it connects to most, when that strictly improves
-/// connectivity and the target has quota room. `O(E)` per pass.
-fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], passes: usize) {
+/// connectivity and the target has quota room. `O(E)` per pass; vertices
+/// whose external weight does not exceed their internal weight cannot
+/// improve and are skipped without a gather.
+fn refine_moves(
+    g: &Graph,
+    part: &mut [u16],
+    loads: &mut [u64],
+    quotas: &[u64],
+    passes: usize,
+    bound: &mut Slack,
+) {
     let mut scratch = ConnScratch::new(quotas.len());
     for _ in 0..passes {
         let mut moved = false;
         for v in 0..g.len() {
+            if bound.slack[v] <= 0 {
+                continue;
+            }
             let cur = part[v];
             let w = g.vwgt[v];
             scratch.gather(g, part, v, |u| u != v);
             let here = scratch.get(cur);
+            debug_assert_eq!(
+                bound.slack[v],
+                weighted_degree(g, v) - 2 * here,
+                "slack of {v} drifted"
+            );
             let mut best: Option<(i64, u16)> = None;
             for &node in &scratch.touched {
                 if node == cur || loads[node as usize] + w > quotas[node as usize] {
@@ -376,7 +485,7 @@ fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], 
             if let Some((_, node)) = best {
                 loads[cur as usize] -= w;
                 loads[node as usize] += w;
-                part[v] = node;
+                bound.relocate(g, part, v, node);
                 moved = true;
             }
         }
@@ -390,34 +499,62 @@ fn refine_moves(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], 
 /// different nodes (loads are invariant): first positive gain wins, applied
 /// immediately, vertices and neighbors in ascending order. `O(Σ deg²)` per
 /// pass, bounded by `swap_degree_cap` against hub blowup.
-fn refine_swaps(g: &Graph, part: &mut [u16], nodes: usize, passes: usize, degree_cap: usize) {
+///
+/// A swap of `v` (on `pv`) and `u` (on `pu`) joined by weight `w` gains
+/// `dv + du − 2w`, where `dv = conn_v[pu] − conn_v[pv] ≤ slack[v]` and
+/// likewise for `u`. A pair is skipped while the slack bound cannot be
+/// positive; `v`'s gather happens only for the first pair that survives,
+/// and `u`'s side needs just its connectivity to `pv` and `pu`.
+fn refine_swaps(
+    g: &Graph,
+    part: &mut [u16],
+    nodes: usize,
+    passes: usize,
+    degree_cap: usize,
+    bound: &mut Slack,
+) {
     let mut conn_v = ConnScratch::new(nodes);
-    let mut conn_u = ConnScratch::new(nodes);
     for _ in 0..passes {
         let mut swapped = false;
         for v in 0..g.len() {
             if g.degree(v) > degree_cap {
                 continue;
             }
-            conn_v.gather(g, part, v, |t| t != v);
+            let mut gathered = false;
             for i in self_range(g, v) {
                 let u = g.nbr[i] as usize;
-                let w = g.wgt[i];
+                let w = g.wgt[i] as i64;
                 if u <= v || part[u] == part[v] || g.vwgt[u] != g.vwgt[v] {
                     continue;
                 }
                 if g.degree(u) > degree_cap {
                     continue;
                 }
+                let bound_u = bound.slack[u] - 2 * w;
+                if bound.slack[v] + bound_u <= 0 {
+                    continue;
+                }
                 let (pv, pu) = (part[v], part[u]);
-                conn_u.gather(g, part, u, |t| t != u);
-                let gain = (conn_v.get(pu) - conn_v.get(pv)) + (conn_u.get(pv) - conn_u.get(pu))
-                    - 2 * w as i64;
-                if gain > 0 {
-                    part[v] = pu;
-                    part[u] = pv;
-                    swapped = true;
+                if !gathered {
                     conn_v.gather(g, part, v, |t| t != v);
+                    gathered = true;
+                }
+                debug_assert_eq!(
+                    bound.slack[v],
+                    weighted_degree(g, v) - 2 * conn_v.get(pv),
+                    "slack of {v} drifted"
+                );
+                let dv = conn_v.get(pu) - conn_v.get(pv);
+                if dv + bound_u <= 0 {
+                    continue;
+                }
+                let (u_to_pv, u_to_pu) = conn_pair(g, part, u, pv, pu);
+                let gain = dv + (u_to_pv - u_to_pu) - 2 * w;
+                if gain > 0 {
+                    bound.relocate(g, part, v, pu);
+                    bound.relocate(g, part, u, pv);
+                    swapped = true;
+                    gathered = false;
                 }
             }
         }
@@ -436,7 +573,7 @@ fn self_range(g: &Graph, v: usize) -> std::ops::Range<usize> {
 /// under-quota node they connect to most (ties: lowest id; no connection:
 /// lowest under-quota id). Loads of full nodes never drop below quota, so
 /// the sweep terminates with every node exactly at quota.
-fn rebalance(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64]) {
+fn rebalance(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64], bound: &mut Slack) {
     let nodes = quotas.len();
     let mut scratch = ConnScratch::new(nodes);
     let mut cursor = 0usize; // lowest node that might still be under quota
@@ -472,7 +609,7 @@ fn rebalance(g: &Graph, part: &mut [u16], loads: &mut [u64], quotas: &[u64]) {
         };
         loads[cur] -= 1;
         loads[target] += 1;
-        part[v] = target as u16;
+        bound.relocate(g, part, v, target as u16);
     }
 }
 
@@ -547,12 +684,14 @@ pub fn multilevel_place_with<C: CorrelationStore>(
     let coarsest = graphs.last().expect("level").as_ref().expect("kept");
     let mut part = initial_partition(coarsest, &quotas);
     let mut loads = node_loads(coarsest, &part, nodes);
+    let mut bound = Slack::new(coarsest, &part);
     refine_moves(
         coarsest,
         &mut part,
         &mut loads,
         &quotas,
         config.refine_passes,
+        &mut bound,
     );
     refine_swaps(
         coarsest,
@@ -560,6 +699,7 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         nodes,
         config.refine_passes,
         config.swap_degree_cap,
+        &mut bound,
     );
 
     // Uncoarsen: project through each map, refining at every kept level.
@@ -572,7 +712,15 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         part = fine;
         if let Some(g) = &graphs[level] {
             let mut loads = node_loads(g, &part, nodes);
-            refine_moves(g, &mut part, &mut loads, &quotas, config.refine_passes);
+            bound = Slack::new(g, &part);
+            refine_moves(
+                g,
+                &mut part,
+                &mut loads,
+                &quotas,
+                config.refine_passes,
+                &mut bound,
+            );
             // At the finest level a single first-improvement sweep captures
             // nearly all the swap gain; further sweeps cost seconds at 10⁶
             // threads for sub-percent cut movement (and small instances
@@ -583,9 +731,16 @@ pub fn multilevel_place_with<C: CorrelationStore>(
                 config.refine_passes
             };
             if level == 0 {
-                rebalance(g, &mut part, &mut loads, &quotas);
+                rebalance(g, &mut part, &mut loads, &quotas, &mut bound);
             }
-            refine_swaps(g, &mut part, nodes, swap_passes, config.swap_degree_cap);
+            refine_swaps(
+                g,
+                &mut part,
+                nodes,
+                swap_passes,
+                config.swap_degree_cap,
+                &mut bound,
+            );
         }
     }
     if cmaps.is_empty() {
@@ -593,13 +748,14 @@ pub fn multilevel_place_with<C: CorrelationStore>(
         // enforce the exact quotas it would otherwise get at level 0.
         let g = graphs[0].as_ref().expect("finest level is always kept");
         let mut loads = node_loads(g, &part, nodes);
-        rebalance(g, &mut part, &mut loads, &quotas);
+        rebalance(g, &mut part, &mut loads, &quotas, &mut bound);
         refine_swaps(
             g,
             &mut part,
             nodes,
             config.refine_passes,
             config.swap_degree_cap,
+            &mut bound,
         );
     }
 
@@ -652,6 +808,188 @@ mod tests {
             }
         }
         SparseCorrelation::from_edges(n, list)
+    }
+
+    /// The unpruned `refine_moves`: a full gather for every vertex.
+    fn refine_moves_reference(
+        g: &Graph,
+        part: &mut [u16],
+        loads: &mut [u64],
+        quotas: &[u64],
+        passes: usize,
+    ) {
+        let mut scratch = ConnScratch::new(quotas.len());
+        for _ in 0..passes {
+            let mut moved = false;
+            for v in 0..g.len() {
+                let cur = part[v];
+                let w = g.vwgt[v];
+                scratch.gather(g, part, v, |u| u != v);
+                let here = scratch.get(cur);
+                let mut best: Option<(i64, u16)> = None;
+                for &node in &scratch.touched {
+                    if node == cur || loads[node as usize] + w > quotas[node as usize] {
+                        continue;
+                    }
+                    let conn = scratch.get(node);
+                    if conn <= here {
+                        continue;
+                    }
+                    let better = match best {
+                        None => true,
+                        Some((bc, bn)) => conn > bc || (conn == bc && node < bn),
+                    };
+                    if better {
+                        best = Some((conn, node));
+                    }
+                }
+                if let Some((_, node)) = best {
+                    loads[cur as usize] -= w;
+                    loads[node as usize] += w;
+                    part[v] = node;
+                    moved = true;
+                }
+            }
+            if !moved {
+                break;
+            }
+        }
+    }
+
+    /// The unpruned `refine_swaps`: both endpoints gathered for every
+    /// candidate pair.
+    fn refine_swaps_reference(
+        g: &Graph,
+        part: &mut [u16],
+        nodes: usize,
+        passes: usize,
+        degree_cap: usize,
+    ) {
+        let mut conn_v = ConnScratch::new(nodes);
+        let mut conn_u = ConnScratch::new(nodes);
+        for _ in 0..passes {
+            let mut swapped = false;
+            for v in 0..g.len() {
+                if g.degree(v) > degree_cap {
+                    continue;
+                }
+                conn_v.gather(g, part, v, |t| t != v);
+                for i in self_range(g, v) {
+                    let u = g.nbr[i] as usize;
+                    let w = g.wgt[i];
+                    if u <= v || part[u] == part[v] || g.vwgt[u] != g.vwgt[v] {
+                        continue;
+                    }
+                    if g.degree(u) > degree_cap {
+                        continue;
+                    }
+                    let (pv, pu) = (part[v], part[u]);
+                    conn_u.gather(g, part, u, |t| t != u);
+                    let gain = (conn_v.get(pu) - conn_v.get(pv))
+                        + (conn_u.get(pv) - conn_u.get(pu))
+                        - 2 * w as i64;
+                    if gain > 0 {
+                        part[v] = pu;
+                        part[u] = pv;
+                        swapped = true;
+                        conn_v.gather(g, part, v, |t| t != v);
+                    }
+                }
+            }
+            if !swapped {
+                break;
+            }
+        }
+    }
+
+    /// A random store for the equivalence property: up to three hub
+    /// vertices get extra edges (degree past a small `swap_degree_cap`),
+    /// and weights are small, near `u32::MAX` (saturating in the graph and
+    /// in coarsening), or a mix of both.
+    fn equivalence_store(rng: &mut DetRng, n: usize) -> SparseCorrelation {
+        let heavy = |rng: &mut DetRng| u32::MAX as u64 - 8 + rng.next_below(16);
+        let mode = rng.next_below(3);
+        let weight = |rng: &mut DetRng| match mode {
+            0 => 1 + rng.next_below(16),
+            1 => heavy(rng),
+            _ if rng.next_below(2) == 0 => heavy(rng),
+            _ => 1 + rng.next_below(1 << 20),
+        };
+        let mut edges = Vec::new();
+        for _ in 0..n * (1 + rng.next_below(6) as usize) {
+            let a = rng.next_below(n as u64) as u32;
+            let b = rng.next_below(n as u64) as u32;
+            edges.push((a, b, weight(rng)));
+        }
+        for _ in 0..rng.next_below(4) {
+            let hub = rng.next_below(n as u64) as u32;
+            for _ in 0..24 + rng.next_below(40) {
+                let b = rng.next_below(n as u64) as u32;
+                edges.push((hub, b, weight(rng)));
+            }
+        }
+        SparseCorrelation::from_edges(n, edges)
+    }
+
+    #[test]
+    fn pruned_refinement_matches_the_reference() {
+        acorr_sim::check("pruned_refinement_matches_the_reference", 64, |rng| {
+            let n = 12 + rng.next_below(300) as usize;
+            let nodes = 2 + rng.next_below(11) as usize;
+            let cluster = ClusterConfig::new(nodes, n).unwrap();
+            let quotas: Vec<u64> = Mapping::stretch(&cluster)
+                .node_counts()
+                .into_iter()
+                .map(|c| c as u64)
+                .collect();
+            let max_vwgt = quotas.iter().copied().max().unwrap();
+            let passes = 1 + rng.next_below(3) as usize;
+            let degree_cap = 2 + rng.next_below(30) as usize;
+            // The finest level and up to two coarse levels (vwgt > 1).
+            let mut levels = vec![Graph::from_store(&equivalence_store(rng, n))];
+            while levels.len() < 3 {
+                match coarsen(levels.last().unwrap(), max_vwgt) {
+                    Some((coarse, _)) => levels.push(coarse),
+                    None => break,
+                }
+            }
+            for (level, g) in levels.iter().enumerate() {
+                let start = if rng.next_below(2) == 0 {
+                    initial_partition(g, &quotas)
+                } else {
+                    (0..g.len())
+                        .map(|_| rng.next_below(nodes as u64) as u16)
+                        .collect()
+                };
+                let (mut part, mut want) = (start.clone(), start);
+                let mut loads = node_loads(g, &part, nodes);
+                let mut want_loads = loads.clone();
+                let mut bound = Slack::new(g, &part);
+
+                refine_moves(g, &mut part, &mut loads, &quotas, passes, &mut bound);
+                refine_moves_reference(g, &mut want, &mut want_loads, &quotas, passes);
+                assert_eq!(
+                    (&part, &loads),
+                    (&want, &want_loads),
+                    "moves, level {level}"
+                );
+                if level == 0 {
+                    rebalance(g, &mut part, &mut loads, &quotas, &mut bound);
+                    let mut fresh = Slack::new(g, &want);
+                    rebalance(g, &mut want, &mut want_loads, &quotas, &mut fresh);
+                    assert_eq!(loads, quotas, "rebalance fills every node to quota");
+                    assert_eq!((&part, &loads), (&want, &want_loads), "rebalance");
+                }
+                refine_swaps(g, &mut part, nodes, passes, degree_cap, &mut bound);
+                refine_swaps_reference(g, &mut want, nodes, passes, degree_cap);
+                assert_eq!(part, want, "swaps, level {level}");
+                assert_eq!(
+                    bound.slack,
+                    Slack::new(g, &part).slack,
+                    "incremental slack stays exact"
+                );
+            }
+        });
     }
 
     fn quota_balanced(m: &Mapping, cluster: &ClusterConfig) -> bool {

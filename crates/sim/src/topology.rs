@@ -30,6 +30,11 @@ impl fmt::Display for NodeId {
 pub enum TopologyError {
     /// The cluster must contain at least one node.
     NoNodes,
+    /// Node ids are `u16`, so a cluster holds at most `u16::MAX` nodes.
+    TooManyNodes {
+        /// Number of nodes requested.
+        nodes: usize,
+    },
     /// There must be at least one thread per node.
     TooFewThreads {
         /// Number of threads requested.
@@ -62,6 +67,9 @@ impl fmt::Display for TopologyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TopologyError::NoNodes => write!(f, "cluster must contain at least one node"),
+            TopologyError::TooManyNodes { nodes } => {
+                write!(f, "{nodes} nodes exceed the {}-node limit", u16::MAX)
+            }
             TopologyError::TooFewThreads { threads, nodes } => {
                 write!(f, "{threads} threads cannot populate {nodes} nodes")
             }
@@ -100,12 +108,17 @@ impl ClusterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::NoNodes`] for an empty cluster and
-    /// [`TopologyError::TooFewThreads`] when there are fewer threads than
-    /// nodes (every node must host at least one thread).
+    /// Returns [`TopologyError::NoNodes`] for an empty cluster,
+    /// [`TopologyError::TooManyNodes`] for more than `u16::MAX` nodes (the
+    /// range of [`NodeId`]) and [`TopologyError::TooFewThreads`] when there
+    /// are fewer threads than nodes (every node must host at least one
+    /// thread).
     pub fn new(num_nodes: usize, num_threads: usize) -> Result<Self, TopologyError> {
         if num_nodes == 0 {
             return Err(TopologyError::NoNodes);
+        }
+        if num_nodes > u16::MAX as usize {
+            return Err(TopologyError::TooManyNodes { nodes: num_nodes });
         }
         if num_threads < num_nodes {
             return Err(TopologyError::TooFewThreads {
@@ -373,6 +386,21 @@ mod tests {
         assert!(ClusterConfig::new(8, 64).is_ok());
         assert_eq!(cluster(8, 64).threads_per_node(), 8);
         assert_eq!(cluster(3, 8).threads_per_node(), 3);
+    }
+
+    #[test]
+    fn node_count_is_capped_at_the_node_id_range() {
+        let max = u16::MAX as usize;
+        let c = cluster(max, max);
+        assert_eq!(c.nodes().last(), Some(NodeId(u16::MAX - 1)));
+        assert_eq!(
+            ClusterConfig::new(max + 1, max + 1),
+            Err(TopologyError::TooManyNodes { nodes: max + 1 })
+        );
+        assert_eq!(
+            TopologyError::TooManyNodes { nodes: max + 1 }.to_string(),
+            "65536 nodes exceed the 65535-node limit"
+        );
     }
 
     #[test]
